@@ -38,10 +38,11 @@ import (
 // cycle (the pooled core every replay event passes through), the parallel
 // sweep runner (its serial twin is skipped to keep the gate fast; the
 // ratio belongs to BenchmarkSweepRunner's own output), the distributed
-// sweep fabric end to end (shard → HTTP workers → merge), and the
+// sweep fabric end to end (shard → HTTP workers → merge), the
 // snapshot-fork-vs-reage pair that prices the device store's central
-// trade.
-const defaultBench = "ReplayTelemetryOff|ReplayTelemetryOn|ReplayStream1k|ReplaySlice1k|ReplayUFS1k|DeviceWrite4K|DeviceRead64K|TraceGeneration|SimEngine|SweepRunner/parallel|CoordinatorSweep|SnapshotFork"
+// trade, and full-size device construction and sealed restore on both
+// backends — the set-up cost every fresh job and every fork pays.
+const defaultBench = "ReplayTelemetryOff|ReplayTelemetryOn|ReplayStream1k|ReplaySlice1k|ReplayUFS1k|DeviceWrite4K|DeviceRead64K|TraceGeneration|SimEngine|SweepRunner/parallel|CoordinatorSweep|SnapshotFork|NewDevice(EMMC|UFS)|RestoreSealed(EMMC|UFS)"
 
 const defaultPkgs = ".,./internal/core,./internal/coord,./internal/experiments,./internal/sim"
 

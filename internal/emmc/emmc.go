@@ -23,6 +23,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"reflect"
 
 	"emmcio/internal/faults"
 	"emmcio/internal/flash"
@@ -118,6 +119,23 @@ type Config struct {
 	SDCard bool
 }
 
+// Controller RAM bounds: the buffers are sized from the configuration, so
+// the bounds keep a decoded snapshot from sizing them past any real part.
+const (
+	maxRAMBytes       = 1 << 32
+	maxReadAheadPages = 1 << 12
+)
+
+// ftlConfig is the translation-layer configuration the device runs.
+func (c Config) ftlConfig() ftl.Config {
+	return ftl.Config{
+		Geometry:     c.Geometry,
+		Pools:        c.Pools,
+		GCFreeBlocks: c.GCFreeBlocks,
+		Wear:         c.Wear,
+	}
+}
+
 // Validate reports unusable configurations.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
@@ -142,6 +160,14 @@ func (c Config) Validate() error {
 	}
 	if c.GCFreeBlocks < 1 {
 		return fmt.Errorf("emmc: GC threshold below 1")
+	}
+	for _, b := range []int64{c.RAMBufferBytes, c.MapCacheBytes, c.WriteBufferBytes} {
+		if b < 0 || b > maxRAMBytes {
+			return fmt.Errorf("emmc: controller RAM size %d outside [0, %d]", b, int64(maxRAMBytes))
+		}
+	}
+	if c.ReadAheadPages < 0 || c.ReadAheadPages > maxReadAheadPages {
+		return fmt.Errorf("emmc: read-ahead of %d pages outside [0, %d]", c.ReadAheadPages, maxReadAheadPages)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -295,12 +321,7 @@ func New(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f, err := ftl.New(ftl.Config{
-		Geometry:     cfg.Geometry,
-		Pools:        cfg.Pools,
-		GCFreeBlocks: cfg.GCFreeBlocks,
-		Wear:         cfg.Wear,
-	})
+	f, err := ftl.New(cfg.ftlConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -480,6 +501,11 @@ func (d *Device) Metrics() Metrics { return d.metrics }
 // FTLStats exposes the translation layer's accounting (space utilization,
 // GC totals).
 func (d *Device) FTLStats() ftl.Stats { return d.ftl.Stats() }
+
+// CheckConsistency verifies the translation layer's invariants: mapping
+// and reverse map agree with every page's live count, and retired blocks
+// are empty and out of service. It returns the first violation found.
+func (d *Device) CheckConsistency() error { return d.ftl.CheckConsistency() }
 
 // Wear exposes the erase distribution of pool index pool.
 func (d *Device) Wear(pool int) ftl.WearSummary { return d.ftl.Wear(pool) }
@@ -1144,8 +1170,10 @@ type deviceSnapshot struct {
 	ChannelBusy []int64
 	PlaneFree   []int64
 	PlaneBusy   []int64
-	// FaultDraws archives the injector's decision-stream position so a
-	// restored device resumes the exact fault sequence (Skip fast-forward).
+	// FaultState archives the injector's generator state so a restored
+	// device resumes the exact fault sequence; FaultDraws is its position
+	// in the decision stream, kept for reporting.
+	FaultState [4]uint64
 	FaultDraws int64
 }
 
@@ -1160,6 +1188,7 @@ func (d *Device) Snapshot(w io.Writer) error {
 		LastEnd:    d.lastEnd,
 		RRPlane:    d.rrPlane,
 		Metrics:    d.metrics,
+		FaultState: d.inj.State(),
 		FaultDraws: d.inj.Draws(),
 	}
 	for i := range d.channels {
@@ -1190,15 +1219,17 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 	if snap.FTL == nil {
 		return nil, fmt.Errorf("emmc: snapshot missing FTL state")
 	}
+	if !reflect.DeepEqual(snap.FTL.Config, snap.Config.ftlConfig()) {
+		return nil, fmt.Errorf("emmc: snapshot FTL configuration disagrees with the device configuration")
+	}
 	f, err := ftl.RestoreFromData(snap.FTL)
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(snap.Config.Faults)
+	inj, err := faults.Resume(snap.Config.Faults, snap.FaultState, snap.FaultDraws)
 	if err != nil {
 		return nil, err
 	}
-	inj.Skip(snap.FaultDraws)
 	f.SetFaults(inj)
 	d := &Device{
 		cfg:       snap.Config,
@@ -1215,8 +1246,17 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 		rrPlane:   snap.RRPlane,
 		metrics:   snap.Metrics,
 	}
-	if len(snap.ChannelFree) != len(d.channels) || len(snap.PlaneFree) != len(d.planes) {
+	if len(snap.ChannelFree) != len(d.channels) || len(snap.ChannelBusy) != len(d.channels) ||
+		len(snap.PlaneFree) != len(d.planes) || len(snap.PlaneBusy) != len(d.planes) {
 		return nil, fmt.Errorf("emmc: snapshot resource counts mismatch")
+	}
+	if snap.RRPlane < 0 {
+		return nil, fmt.Errorf("emmc: snapshot plane cursor %d is negative", snap.RRPlane)
+	}
+	for _, ts := range [][]int64{{snap.FreeAt, snap.LastEnd}, snap.ChannelFree, snap.ChannelBusy, snap.PlaneFree, snap.PlaneBusy} {
+		if !sim.ValidRestoredTimes(ts) {
+			return nil, fmt.Errorf("emmc: snapshot clock value outside [0, %d]", sim.MaxRestoredTime)
+		}
 	}
 	for i := range d.channels {
 		d.channels[i].SetState(snap.ChannelFree[i], snap.ChannelBusy[i])

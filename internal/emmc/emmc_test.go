@@ -63,6 +63,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(noTiming); err == nil {
 		t.Fatal("pool without timing accepted")
 	}
+	// Controller RAM sizes the buffers' tables; a decoded snapshot or a
+	// spec must not size them past any real part.
+	hugeBuffer := cfg4K()
+	hugeBuffer.RAMBufferBytes = 1 << 50
+	if _, err := New(hugeBuffer); err == nil {
+		t.Fatal("petabyte RAM buffer accepted")
+	}
 }
 
 func TestSubmitRejectsUnaligned(t *testing.T) {

@@ -300,8 +300,7 @@ func (in *Injector) Counts() Counts {
 }
 
 // Draws returns how many random decisions have been drawn. Device
-// snapshots archive it so a restored injector resumes the exact stream
-// position (see Skip).
+// snapshots archive it with State; Skip replays the stream to it.
 func (in *Injector) Draws() int64 {
 	if in == nil {
 		return 0
@@ -319,4 +318,36 @@ func (in *Injector) Skip(n int64) {
 		in.r.Float64()
 	}
 	in.draws += n
+}
+
+// State returns the decision stream's generator state (zero without an
+// injector). Device snapshots archive it beside Draws so a restored
+// injector resumes the stream directly, whatever its position.
+func (in *Injector) State() [4]uint64 {
+	if in == nil {
+		return [4]uint64{}
+	}
+	return in.r.State()
+}
+
+// Resume builds the injector a device snapshot describes: New(cfg) with
+// its generator set to the archived state and its draw count to draws.
+// Without an injector the archive must be empty; with one, a negative
+// draw count or the all-zero generator state is refused.
+func Resume(cfg *Config, state [4]uint64, draws int64) (*Injector, error) {
+	in, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if in == nil {
+		if draws != 0 || state != ([4]uint64{}) {
+			return nil, fmt.Errorf("faults: archived stream position without an injector")
+		}
+		return nil, nil
+	}
+	if draws < 0 || !in.r.SetState(state) {
+		return nil, fmt.Errorf("faults: cannot resume at draw %d from generator state %x", draws, state)
+	}
+	in.draws = draws
+	return in, nil
 }

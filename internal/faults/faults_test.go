@@ -192,3 +192,41 @@ func TestExtremeProbabilitiesSkipRNG(t *testing.T) {
 		t.Fatalf("p>=1 consumed %d draws", in.Draws())
 	}
 }
+
+// Resume restores an archived stream position and refuses archives no
+// snapshot can hold: a negative draw count, the all-zero generator state,
+// or any position without an injector.
+func TestResume(t *testing.T) {
+	cfg := &Config{Seed: 7, Rate: 2}
+	want, _ := New(cfg)
+	want.Skip(12345)
+	got, err := Resume(cfg, want.State(), want.Draws())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Draws() != 12345 || got.State() != want.State() {
+		t.Fatal("resumed injector is not at the archived position")
+	}
+	for i := 0; i < 1000; i++ {
+		if got.ProgramFails(3000) != want.ProgramFails(3000) {
+			t.Fatalf("decision %d after resume diverged", i)
+		}
+	}
+	if in, err := Resume(nil, [4]uint64{}, 0); err != nil || in != nil {
+		t.Fatalf("Resume(nil) = %v, %v; want no injector", in, err)
+	}
+	for _, c := range []struct {
+		cfg   *Config
+		state [4]uint64
+		draws int64
+	}{
+		{cfg, want.State(), -1},
+		{cfg, [4]uint64{}, 0},
+		{nil, [4]uint64{}, 5},
+		{nil, [4]uint64{1}, 0},
+	} {
+		if _, err := Resume(c.cfg, c.state, c.draws); err == nil {
+			t.Errorf("Resume(%v, %x, %d) accepted", c.cfg, c.state, c.draws)
+		}
+	}
+}

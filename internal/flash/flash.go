@@ -89,6 +89,9 @@ func (p PoolSpec) Validate() error {
 	if p.PageBytes < SectorBytes || p.PageBytes%SectorBytes != 0 {
 		return fmt.Errorf("flash: page size %d not a positive multiple of %d", p.PageBytes, SectorBytes)
 	}
+	if p.SectorsPerPage() > maxPageSectors {
+		return fmt.Errorf("flash: page size %d holds more than %d sectors", p.PageBytes, maxPageSectors)
+	}
 	if p.BlocksPerPlane <= 0 || p.PagesPerBlock <= 0 {
 		return fmt.Errorf("flash: non-positive pool dimensions %+v", p)
 	}
@@ -208,7 +211,15 @@ func (t Timing) Transfer(n int) int64 {
 	return t.CmdOverheadNs + int64(float64(n)*t.TransferNsPerByte)
 }
 
-// Validate reports incomplete timing models.
+// Latency bounds. Every operation latency is at most maxOpNs and the bus
+// at most maxTransferNsPerByte, so simulated-time sums stay far from int64
+// overflow however a timing model was built or decoded.
+const (
+	maxOpNs              = int64(1e12) // 1000 s
+	maxTransferNsPerByte = 1e3
+)
+
+// Validate reports incomplete or out-of-range timing models.
 func (t Timing) Validate() error {
 	if len(t.PerPage) == 0 {
 		return fmt.Errorf("flash: timing has no per-page latencies")
@@ -217,29 +228,42 @@ func (t Timing) Validate() error {
 		if ot.ReadNs <= 0 || ot.ProgramNs <= 0 {
 			return fmt.Errorf("flash: non-positive latency for page size %d", sz)
 		}
+		if ot.ReadNs > maxOpNs || ot.ProgramNs > maxOpNs {
+			return fmt.Errorf("flash: latency for page size %d above %d ns", sz, maxOpNs)
+		}
 	}
-	if t.EraseNs <= 0 {
-		return fmt.Errorf("flash: non-positive erase latency")
+	if t.EraseNs <= 0 || t.EraseNs > maxOpNs {
+		return fmt.Errorf("flash: erase latency %d outside (0, %d] ns", t.EraseNs, maxOpNs)
 	}
-	if t.PipelineFactor <= 0 || t.PipelineFactor > 1 {
+	if t.CmdOverheadNs < 0 || t.CmdOverheadNs > maxOpNs || t.RequestOverheadNs < 0 || t.RequestOverheadNs > maxOpNs {
+		return fmt.Errorf("flash: command or request overhead outside [0, %d] ns", maxOpNs)
+	}
+	// The bounds are negated so that NaN fails them too.
+	if !(t.TransferNsPerByte >= 0 && t.TransferNsPerByte <= maxTransferNsPerByte) {
+		return fmt.Errorf("flash: transfer cost %v outside [0, %v] ns/byte", t.TransferNsPerByte, maxTransferNsPerByte)
+	}
+	if !(t.SLCReadFactor >= 0 && t.SLCReadFactor <= 1 && t.SLCProgramFactor >= 0 && t.SLCProgramFactor <= 1) {
+		return fmt.Errorf("flash: SLC factors %v/%v outside [0,1]", t.SLCReadFactor, t.SLCProgramFactor)
+	}
+	if !(t.PipelineFactor > 0 && t.PipelineFactor <= 1) {
 		return fmt.Errorf("flash: pipeline factor %v outside (0,1]", t.PipelineFactor)
 	}
-	if t.PairingSpread < 0 || t.PairingSpread >= 2 {
+	if !(t.PairingSpread >= 0 && t.PairingSpread < 2) {
 		return fmt.Errorf("flash: pairing spread %v outside [0,2)", t.PairingSpread)
 	}
 	return nil
 }
 
-// Page states inside a block.
-const (
-	pageFree = -1 // never programmed since last erase
-)
+// maxPageSectors is the most sectors one page can hold: a block keeps its
+// per-page live counts in int8s.
+const maxPageSectors = 127
 
 // Block is one erase unit. Pages are programmed strictly in order
 // (writePtr), the NAND constraint that forces out-of-place updates.
 type Block struct {
-	// live[i] counts the live 4 KB sectors page i still holds;
-	// pageFree marks an unprogrammed page.
+	// live[i] counts the live 4 KB sectors page i still holds. Pages at or
+	// past writePtr are unprogrammed and always read 0, so a fresh block
+	// needs no per-page initialization.
 	live     []int8
 	writePtr int
 	// liveSectors is the block total, kept for O(1) GC victim scoring.
@@ -250,25 +274,21 @@ type Block struct {
 	retired bool
 }
 
-// NewBlock returns an erased block with the given page count.
-func NewBlock(pagesPerBlock int) *Block {
-	b := &Block{live: make([]int8, pagesPerBlock)}
-	for i := range b.live {
-		b.live[i] = pageFree
+// NewBlocks returns n erased blocks of pagesPerBlock pages each. Their page
+// arrays are carved from one slab, so a plane-pool of any size costs two
+// allocations.
+func NewBlocks(n, pagesPerBlock int) []Block {
+	slab := make([]int8, n*pagesPerBlock)
+	blocks := make([]Block, n)
+	for i := range blocks {
+		lo, hi := i*pagesPerBlock, (i+1)*pagesPerBlock
+		blocks[i].live = slab[lo:hi:hi]
 	}
-	return b
+	return blocks
 }
 
 // Full reports whether every page has been programmed.
 func (b *Block) Full() bool { return b.writePtr >= len(b.live) }
-
-// NextFree returns the next programmable page index, or -1 when full.
-func (b *Block) NextFree() int {
-	if b.Full() {
-		return -1
-	}
-	return b.writePtr
-}
 
 // NextFreeCount returns the write pointer position, i.e. how many pages have
 // been programmed so far.
@@ -284,7 +304,7 @@ func (b *Block) Program(liveSectors int) int {
 	if b.Full() {
 		panic("flash: programming a full block")
 	}
-	if liveSectors < 0 || liveSectors > 127 {
+	if liveSectors < 0 || liveSectors > maxPageSectors {
 		panic("flash: implausible live sector count")
 	}
 	i := b.writePtr
@@ -306,27 +326,8 @@ func (b *Block) InvalidateSector(i int) {
 // LiveSectors returns the block's total live sector count.
 func (b *Block) LiveSectors() int { return b.liveSectors }
 
-// LivePages returns how many pages still hold at least one live sector.
-func (b *Block) LivePages() int {
-	n := 0
-	for _, c := range b.live {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // PageLive returns the live sector count of page i (0 for stale/free pages).
-func (b *Block) PageLive(i int) int {
-	if b.live[i] == pageFree {
-		return 0
-	}
-	return int(b.live[i])
-}
-
-// Programmed reports whether page i has been programmed since the last erase.
-func (b *Block) Programmed(i int) bool { return b.live[i] != pageFree }
+func (b *Block) PageLive(i int) int { return int(b.live[i]) }
 
 // Erase resets the block to the free state and bumps its wear counter.
 // Erasing a block with live sectors is a data-loss bug and panics.
@@ -337,9 +338,7 @@ func (b *Block) Erase() {
 	if b.liveSectors != 0 {
 		panic("flash: erasing a block that still holds live data")
 	}
-	for i := range b.live {
-		b.live[i] = pageFree
-	}
+	clear(b.live[:b.writePtr])
 	b.writePtr = 0
 	b.erases++
 }

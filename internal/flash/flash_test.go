@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,10 @@ func TestPoolSpec(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unaligned page size accepted")
 	}
+	huge := PoolSpec{PageBytes: 128 * SectorBytes, BlocksPerPlane: 1, PagesPerBlock: 1}
+	if err := huge.Validate(); err == nil {
+		t.Fatal("a page of more sectors than a block can count accepted")
+	}
 }
 
 func testTiming() Timing {
@@ -92,9 +97,12 @@ func TestTimingPanicsOnUnknownPageSize(t *testing.T) {
 	testTiming().Read(16384)
 }
 
+// newBlock returns one erased block of the given page count.
+func newBlock(pages int) *Block { return &NewBlocks(1, pages)[0] }
+
 func TestBlockLifecycle(t *testing.T) {
-	b := NewBlock(4)
-	if b.Full() || b.NextFree() != 0 {
+	b := newBlock(4)
+	if b.Full() || b.NextFreeCount() != 0 {
 		t.Fatal("fresh block should be empty")
 	}
 	p0 := b.Program(2)
@@ -102,33 +110,33 @@ func TestBlockLifecycle(t *testing.T) {
 	if p0 != 0 || p1 != 1 {
 		t.Fatalf("pages programmed at %d,%d; want 0,1", p0, p1)
 	}
-	if b.LiveSectors() != 3 || b.LivePages() != 2 {
-		t.Fatalf("live sectors %d pages %d, want 3/2", b.LiveSectors(), b.LivePages())
+	if b.LiveSectors() != 3 || b.PageLive(0) != 2 || b.PageLive(1) != 1 {
+		t.Fatalf("live sectors %d pages %d/%d, want 3 = 2+1", b.LiveSectors(), b.PageLive(0), b.PageLive(1))
 	}
 	b.InvalidateSector(0)
 	if b.LiveSectors() != 2 || b.PageLive(0) != 1 {
 		t.Fatal("invalidation bookkeeping wrong")
 	}
 	b.InvalidateSector(0)
-	if b.LivePages() != 1 {
-		t.Fatalf("LivePages = %d, want 1", b.LivePages())
+	if b.PageLive(0) != 0 || b.PageLive(1) != 1 || b.PageLive(2) != 0 {
+		t.Fatalf("page live counts %d/%d/%d, want 0/1/0", b.PageLive(0), b.PageLive(1), b.PageLive(2))
 	}
 }
 
 func TestBlockProgramsInOrder(t *testing.T) {
-	b := NewBlock(3)
+	b := newBlock(3)
 	for want := 0; want < 3; want++ {
 		if got := b.Program(1); got != want {
 			t.Fatalf("Program returned page %d, want %d (in-order constraint)", got, want)
 		}
 	}
-	if !b.Full() || b.NextFree() != -1 {
+	if !b.Full() || b.NextFreeCount() != 3 {
 		t.Fatal("block should be full")
 	}
 }
 
 func TestBlockEraseResetsState(t *testing.T) {
-	b := NewBlock(2)
+	b := newBlock(2)
 	b.Program(1)
 	b.InvalidateSector(0)
 	b.Program(0) // stale page, e.g. wasted half of an 8K page
@@ -136,13 +144,13 @@ func TestBlockEraseResetsState(t *testing.T) {
 	if b.EraseCount() != 1 {
 		t.Fatalf("EraseCount = %d, want 1", b.EraseCount())
 	}
-	if b.Full() || b.LiveSectors() != 0 || b.Programmed(0) {
+	if b.Full() || b.LiveSectors() != 0 || b.NextFreeCount() != 0 {
 		t.Fatal("erase did not reset block")
 	}
 }
 
 func TestEraseWithLiveDataPanics(t *testing.T) {
-	b := NewBlock(2)
+	b := newBlock(2)
 	b.Program(1)
 	defer func() {
 		if recover() == nil {
@@ -153,7 +161,7 @@ func TestEraseWithLiveDataPanics(t *testing.T) {
 }
 
 func TestProgramFullBlockPanics(t *testing.T) {
-	b := NewBlock(1)
+	b := newBlock(1)
 	b.Program(1)
 	defer func() {
 		if recover() == nil {
@@ -164,7 +172,7 @@ func TestProgramFullBlockPanics(t *testing.T) {
 }
 
 func TestInvalidateFreePagePanics(t *testing.T) {
-	b := NewBlock(1)
+	b := newBlock(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalidating a free page did not panic")
@@ -177,7 +185,7 @@ func TestInvalidateFreePagePanics(t *testing.T) {
 // program/invalidate sequences.
 func TestBlockAccountingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		b := NewBlock(64)
+		b := newBlock(64)
 		modelLive := 0
 		for _, op := range ops {
 			if op%2 == 0 && !b.Full() {
@@ -202,5 +210,53 @@ func TestBlockAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Blocks carved from one slab must not share pages: filling one leaves its
+// neighbours erased, and an erased page reads 0 again after reuse.
+func TestNewBlocksAreIndependent(t *testing.T) {
+	blocks := NewBlocks(3, 2)
+	blocks[1].Program(1)
+	blocks[1].Program(1)
+	for _, i := range []int{0, 2} {
+		if blocks[i].NextFreeCount() != 0 || blocks[i].PageLive(0) != 0 || blocks[i].PageLive(1) != 0 {
+			t.Fatalf("programming block 1 touched block %d", i)
+		}
+	}
+	blocks[1].InvalidateSector(0)
+	blocks[1].InvalidateSector(1)
+	blocks[1].Erase()
+	blocks[1].Program(0)
+	if blocks[1].PageLive(0) != 0 || blocks[1].PageLive(1) != 0 || blocks[1].LiveSectors() != 0 {
+		t.Fatal("erased block kept stale live counts")
+	}
+}
+
+func TestBlockSnapshotRoundTrip(t *testing.T) {
+	b := newBlock(4)
+	b.Program(2)
+	b.Program(1)
+	b.Burn()
+	b.InvalidateSector(0)
+	written := b.AppendWritten(nil)
+	if !bytes.Equal(written, []byte{1, 1, 0}) {
+		t.Fatalf("AppendWritten = %v, want [1 1 0]", written)
+	}
+	c := newBlock(4)
+	c.Load(written, 5, false)
+	if c.NextFreeCount() != 3 || c.LiveSectors() != 2 || c.EraseCount() != 5 || c.Retired() {
+		t.Fatalf("loaded block: ptr %d live %d erases %d retired %v",
+			c.NextFreeCount(), c.LiveSectors(), c.EraseCount(), c.Retired())
+	}
+	for i := 0; i < 4; i++ {
+		if c.PageLive(i) != b.PageLive(i) {
+			t.Fatalf("page %d: loaded %d live, original %d", i, c.PageLive(i), b.PageLive(i))
+		}
+	}
+	r := newBlock(4)
+	r.Load(nil, 1, true)
+	if !r.Retired() {
+		t.Fatal("retired flag lost")
 	}
 }

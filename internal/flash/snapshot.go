@@ -1,27 +1,33 @@
 package flash
 
-// BlockState is the serializable form of a Block, used by device snapshots
-// (archiving an aged device instead of replaying months of history).
-type BlockState struct {
-	Live     []int8
-	WritePtr int
-	LiveSecs int
-	Erases   int
-	// Retired marks a grown bad block. Absent in pre-fault snapshots, which
-	// gob decodes as false — exactly the pre-fault semantics.
-	Retired bool
+// Snapshot support: a block's whole state is its erase count, its retired
+// flag and the live-sector counts of the pages programmed since the last
+// erase. Pages past the write pointer hold nothing, so an archive of a
+// lightly written device is proportional to what was written, not to its
+// capacity.
+
+// AppendWritten appends the live-sector count of every programmed page,
+// one byte per page in page order, to dst.
+func (b *Block) AppendWritten(dst []byte) []byte {
+	for _, c := range b.live[:b.writePtr] {
+		dst = append(dst, byte(c))
+	}
+	return dst
 }
 
-// Dump exports the block's state.
-func (b *Block) Dump() BlockState {
-	live := make([]int8, len(b.live))
-	copy(live, b.live)
-	return BlockState{Live: live, WritePtr: b.writePtr, LiveSecs: b.liveSectors, Erases: b.erases, Retired: b.retired}
-}
-
-// RestoreBlock builds a block from a dumped state.
-func RestoreBlock(s BlockState) *Block {
-	live := make([]int8, len(s.Live))
-	copy(live, s.Live)
-	return &Block{live: live, writePtr: s.WritePtr, liveSectors: s.LiveSecs, erases: s.Erases, retired: s.Retired}
+// Load gives a block fresh from NewBlocks its archived state: live holds
+// one live-sector count per programmed page, as AppendWritten wrote them.
+// The caller has validated it: at most Pages() entries, each one a count a
+// page of this block can hold.
+func (b *Block) Load(live []byte, erases int, retired bool) {
+	if b.writePtr != 0 {
+		panic("flash: loading state into a programmed block")
+	}
+	for i, c := range live {
+		b.live[i] = int8(c)
+		b.liveSectors += int(c)
+	}
+	b.writePtr = len(live)
+	b.erases = erases
+	b.retired = retired
 }

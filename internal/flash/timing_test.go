@@ -1,6 +1,9 @@
 package flash
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func pairedTiming() Timing {
 	t := testTiming()
@@ -62,5 +65,27 @@ func TestValidateRejectsBadSpread(t *testing.T) {
 	tm.PairingSpread = 2.5
 	if err := tm.Validate(); err == nil {
 		t.Fatal("pairing spread 2.5 accepted")
+	}
+}
+
+// Decoded timing models are untrusted: values that would overflow
+// simulated time, or NaN, must be refused.
+func TestValidateRejectsOutOfRangeTiming(t *testing.T) {
+	for name, mutate := range map[string]func(*Timing){
+		"huge transfer cost":    func(tm *Timing) { tm.TransferNsPerByte = 3e174 },
+		"negative transfer":     func(tm *Timing) { tm.TransferNsPerByte = -1 },
+		"NaN transfer":          func(tm *Timing) { tm.TransferNsPerByte = math.NaN() },
+		"huge erase":            func(tm *Timing) { tm.EraseNs = 1 << 62 },
+		"huge read":             func(tm *Timing) { tm.PerPage[4096] = OpTiming{ReadNs: 1 << 62, ProgramNs: 1} },
+		"negative overhead":     func(tm *Timing) { tm.CmdOverheadNs = -5 },
+		"huge request overhead": func(tm *Timing) { tm.RequestOverheadNs = 1 << 62 },
+		"NaN pipeline":          func(tm *Timing) { tm.PipelineFactor = math.NaN() },
+		"SLC factor above 1":    func(tm *Timing) { tm.SLCReadFactor = 2 },
+	} {
+		tm := testTiming()
+		mutate(&tm)
+		if err := tm.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

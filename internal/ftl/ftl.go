@@ -96,7 +96,7 @@ func (s Stats) SpaceUtilization() float64 {
 
 type poolState struct {
 	spec   flash.PoolSpec
-	blocks []*flash.Block
+	blocks []flash.Block
 	// free holds erased block indices in FIFO order; allocating from the
 	// head and returning erased blocks to the tail round-robins erase load
 	// across blocks (the "simple wear-leveling" of Implication 4).
@@ -163,10 +163,25 @@ func (c Config) Validate() error {
 	if len(c.Pools) == 0 {
 		return fmt.Errorf("ftl: no pools configured")
 	}
+	// Loc.pack gives the plane 16 bits, the pool 8, the block 24 and the
+	// page 16; a larger device would alias reverse-map keys.
+	planes := 1
+	for _, n := range []int{c.Geometry.Channels, c.Geometry.ChipsPerChannel, c.Geometry.DiesPerChip, c.Geometry.PlanesPerDie} {
+		if n > 1<<16/planes {
+			return fmt.Errorf("ftl: geometry %+v has more than %d planes", c.Geometry, 1<<16)
+		}
+		planes *= n
+	}
+	if len(c.Pools) > 1<<8 {
+		return fmt.Errorf("ftl: %d pools, at most %d", len(c.Pools), 1<<8)
+	}
 	seen := map[int]bool{}
 	for _, p := range c.Pools {
 		if err := p.Validate(); err != nil {
 			return err
+		}
+		if p.BlocksPerPlane > 1<<24 || p.PagesPerBlock > 1<<16 {
+			return fmt.Errorf("ftl: pool %+v exceeds %d blocks per plane or %d pages per block", p, 1<<24, 1<<16)
 		}
 		if seen[p.PageBytes] {
 			return fmt.Errorf("ftl: duplicate pool page size %d", p.PageBytes)
@@ -297,10 +312,9 @@ func New(cfg Config) (*FTL, error) {
 		pools := make([]poolState, len(cfg.Pools))
 		for qi, spec := range cfg.Pools {
 			ps := poolState{spec: spec, active: -1}
-			ps.blocks = make([]*flash.Block, spec.BlocksPerPlane)
+			ps.blocks = flash.NewBlocks(spec.BlocksPerPlane, spec.PagesPerBlock)
 			ps.free = make([]int32, spec.BlocksPerPlane)
-			for bi := range ps.blocks {
-				ps.blocks[bi] = flash.NewBlock(spec.PagesPerBlock)
+			for bi := range ps.free {
 				ps.free[bi] = int32(bi)
 			}
 			pools[qi] = ps
@@ -425,7 +439,7 @@ func (f *FTL) invalidate(lpn int64) {
 }
 
 func (f *FTL) blockAt(loc Loc) *flash.Block {
-	return f.planes[loc.Plane].pools[loc.Pool].blocks[loc.Block]
+	return &f.planes[loc.Plane].pools[loc.Pool].blocks[loc.Block]
 }
 
 // program writes lpns to the next page of the plane-pool's active block,
@@ -461,7 +475,7 @@ func (f *FTL) program(plane, pool int32, lpns []int64, gc *GCWork, inGC bool) (L
 				}
 			}
 		}
-		blk := ps.blocks[ps.active]
+		blk := &ps.blocks[ps.active]
 		if f.inj.ProgramFails(f.PoolAvgPE(int(pool))) {
 			blk.Burn()
 			gc.ProgramFaults++
@@ -499,7 +513,7 @@ func (f *FTL) retireBlock(plane, pool, victim int32, gc *GCWork) error {
 			break
 		}
 	}
-	blk := ps.blocks[victim]
+	blk := &ps.blocks[victim]
 	if blk.LiveSectors() > 0 {
 		if err := f.moveLive(plane, pool, victim, gc); err != nil {
 			// No destination space for the survivors: the block cannot be
@@ -576,7 +590,8 @@ func (f *FTL) pickVictim(ps *poolState) int32 {
 	bestLive := int(^uint(0) >> 1)
 	bestErases := int(^uint(0) >> 1)
 	spp := ps.spec.SectorsPerPage()
-	for i, blk := range ps.blocks {
+	for i := range ps.blocks {
+		blk := &ps.blocks[i]
 		if int32(i) == ps.active || blk.Retired() || !blk.Full() {
 			continue
 		}
@@ -608,7 +623,8 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 	}
 	minE, maxE := int(^uint(0)>>1), 0
 	coldest := int32(-1)
-	for i, blk := range ps.blocks {
+	for i := range ps.blocks {
+		blk := &ps.blocks[i]
 		if blk.Retired() {
 			continue
 		}
@@ -669,13 +685,13 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 // unmoved remainder is what the error reports lost.
 func (f *FTL) moveLive(plane, pool, victim int32, gc *GCWork) error {
 	ps := &f.planes[plane].pools[pool]
-	blk := ps.blocks[victim]
+	blk := &ps.blocks[victim]
 	// Gather every live sector first, then detach the source pages. The
 	// buffer comes off a stack of recycled ones: moveLive can re-enter
 	// itself when a relocation program fails and retires its destination,
 	// so a single shared scratch would be clobbered mid-move.
 	survivors := f.grabSurvivors()
-	for page := 0; page < blk.Pages(); page++ {
+	for page := 0; page < blk.NextFreeCount(); page++ {
 		if blk.PageLive(page) == 0 {
 			continue
 		}
@@ -756,7 +772,9 @@ func (f *FTL) Wear(pool int) WearSummary {
 	w := WearSummary{MinErases: int(^uint(0) >> 1)}
 	inService := 0
 	for pi := range f.planes {
-		for _, blk := range f.planes[pi].pools[pool].blocks {
+		blocks := f.planes[pi].pools[pool].blocks
+		for bi := range blocks {
+			blk := &blocks[bi]
 			e := blk.EraseCount()
 			w.TotalErases += e
 			w.Blocks++
@@ -822,7 +840,8 @@ func (f *FTL) CheckConsistency() error {
 		for qi := range f.planes[pi].pools {
 			ps := &f.planes[pi].pools[qi]
 			n := int32(0)
-			for bi, blk := range ps.blocks {
+			for bi := range ps.blocks {
+				blk := &ps.blocks[bi]
 				if !blk.Retired() {
 					continue
 				}

@@ -37,6 +37,17 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(dup); err == nil {
 		t.Fatal("duplicate pool page size accepted")
 	}
+	// Locations pack into 64 bits (16-bit plane, 8-bit pool, 24-bit block,
+	// 16-bit page); a device past those widths would alias reverse-map keys.
+	tooManyPages := smallConfig(flash.PoolSpec{PageBytes: 4096, BlocksPerPlane: 4, PagesPerBlock: 1<<16 + 1})
+	if _, err := New(tooManyPages); err == nil {
+		t.Fatal("2^16+1 pages per block accepted")
+	}
+	tooManyPlanes := smallConfig()
+	tooManyPlanes.Geometry.Channels = 1 << 40
+	if _, err := New(tooManyPlanes); err == nil {
+		t.Fatal("2^41 planes accepted")
+	}
 }
 
 func TestWriteLookupRoundTrip(t *testing.T) {
@@ -310,16 +321,16 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	if _, err := RestoreSnapshot(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Valid gob but inconsistent structure: plane count mismatch.
+	// Valid gob but inconsistent structure: plane-pool count mismatch.
 	f, _ := New(smallConfig())
 	snap := f.SnapshotData()
-	snap.Planes = snap.Planes[:1]
+	snap.Active = snap.Active[:1]
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RestoreSnapshot(&buf); err == nil {
-		t.Fatal("plane-count mismatch accepted")
+		t.Fatal("plane-pool count mismatch accepted")
 	}
 }
 

@@ -1,11 +1,9 @@
 package ftl
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 
 	"emmcio/internal/flash"
 )
@@ -14,124 +12,83 @@ import (
 // lists, statistics) in one gob stream, so an aged device can be archived
 // and resumed instead of replaying its history. The configuration is
 // embedded and checked on restore.
-
-// PoolSnapshot is the serializable state of one plane-pool.
-type PoolSnapshot struct {
-	Blocks []flash.BlockState
-	Free   []int32
-	Active int32
-}
-
-// PlaneSnapshot is the serializable state of one plane.
-type PlaneSnapshot struct {
-	Pools []PoolSnapshot
-}
+//
+// The archive holds only written state. Pages past a block's write pointer
+// hold nothing and are not stored, and the forward map is the exact inverse
+// of the reverse map, so it is rebuilt rather than stored. Every field is a
+// flat slice of primitives, which gob encodes and decodes in bulk, and the
+// encoding is canonical: device snapshots are content-addressed, so equal
+// state must encode to equal bytes.
 
 // SnapshotData is the serializable state of the whole FTL; callers embed it
 // in their own snapshot structures so one gob stream carries everything.
+// Blocks are numbered plane by plane, pool by pool, block by block; plane-
+// pools plane by plane, pool by pool.
 type SnapshotData struct {
-	Config     Config
-	Planes     []PlaneSnapshot
-	Fwd        map[int64]Loc
-	Rev        map[uint64][]int64
-	Stats      Stats
-	PoolErases []int64
-}
-
-// Canonical gob encoding. The Fwd and Rev maps would otherwise serialize
-// in random iteration order, and device snapshots are content-addressed —
-// equal state must encode to equal bytes — so SnapshotData encodes through
-// a wire struct whose map entries are flattened to key-sorted slices. The
-// Rev value slices keep their FTL-maintained order (programming order on
-// the page), which is already deterministic.
-
-type fwdPair struct {
-	LPN int64
-	Loc Loc
-}
-
-type revPair struct {
-	Key  uint64
+	Config Config
+	// WritePtr, Erases and Retired hold one entry per block: the pages
+	// programmed since its last erase, its erase count, and whether it is
+	// a grown bad block.
+	WritePtr []int32
+	Erases   []int32
+	Retired  []bool
+	// Live holds the live-sector count of every programmed page, block
+	// after block: WritePtr[b] bytes for block b.
+	Live []byte
+	// LPNs is the reverse map. Every page with live sectors owns as many
+	// consecutive entries as it has live sectors, in the order of Live, and
+	// lists the LPNs it holds in the FTL's own order — GC relocates them in
+	// that order, so it is part of the device's behaviour.
 	LPNs []int64
-}
+	// Active and FreeLen hold one entry per plane-pool: the block accepting
+	// programs (-1 for none) and the free list's length. Free concatenates
+	// the free lists, each in allocation order.
+	Active  []int32
+	FreeLen []int32
+	Free    []int32
 
-type snapshotWire struct {
-	Config     Config
-	Planes     []PlaneSnapshot
-	Fwd        []fwdPair
-	Rev        []revPair
 	Stats      Stats
 	PoolErases []int64
 }
 
-// GobEncode implements gob.GobEncoder with a deterministic byte form.
-func (s *SnapshotData) GobEncode() ([]byte, error) {
-	w := snapshotWire{
-		Config:     s.Config,
-		Planes:     s.Planes,
-		Stats:      s.Stats,
-		PoolErases: s.PoolErases,
-	}
-	w.Fwd = make([]fwdPair, 0, len(s.Fwd))
-	for lpn, loc := range s.Fwd {
-		w.Fwd = append(w.Fwd, fwdPair{LPN: lpn, Loc: loc})
-	}
-	sort.Slice(w.Fwd, func(i, j int) bool { return w.Fwd[i].LPN < w.Fwd[j].LPN })
-	w.Rev = make([]revPair, 0, len(s.Rev))
-	for key, lpns := range s.Rev {
-		w.Rev = append(w.Rev, revPair{Key: key, LPNs: lpns})
-	}
-	sort.Slice(w.Rev, func(i, j int) bool { return w.Rev[i].Key < w.Rev[j].Key })
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// Restore limits. A snapshot is untrusted input whose configuration alone
+// sizes the allocation, so RestoreFromData refuses larger devices before
+// allocating anything. Both are far above the paper's 32 GB case-study
+// device, 6.3M pages in 6,144 blocks.
+const (
+	// maxRestorePages caps planes × pools × blocks × pages.
+	maxRestorePages = 1 << 26
+	// maxRestoreBlocks caps planes × pools × blocks.
+	maxRestoreBlocks = 1 << 20
+)
 
-// GobDecode implements gob.GobDecoder for the canonical wire form.
-func (s *SnapshotData) GobDecode(data []byte) error {
-	var w snapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	*s = SnapshotData{
-		Config:     w.Config,
-		Planes:     w.Planes,
-		Stats:      w.Stats,
-		PoolErases: w.PoolErases,
-	}
-	s.Fwd = make(map[int64]Loc, len(w.Fwd))
-	for _, p := range w.Fwd {
-		s.Fwd[p.LPN] = p.Loc
-	}
-	s.Rev = make(map[uint64][]int64, len(w.Rev))
-	for _, p := range w.Rev {
-		s.Rev[p.Key] = p.LPNs
-	}
-	return nil
-}
-
-// SnapshotData exports the FTL state.
+// SnapshotData exports the FTL state. The result shares nothing with f.
 func (f *FTL) SnapshotData() *SnapshotData {
 	snap := &SnapshotData{
 		Config:     f.cfg,
-		Fwd:        f.fwd,
-		Rev:        f.rev,
 		Stats:      f.stats,
-		PoolErases: f.poolErases,
+		PoolErases: append([]int64(nil), f.poolErases...),
 	}
 	for pi := range f.planes {
-		var ps PlaneSnapshot
 		for qi := range f.planes[pi].pools {
-			pool := &f.planes[pi].pools[qi]
-			q := PoolSnapshot{Free: pool.free, Active: pool.active}
-			for _, blk := range pool.blocks {
-				q.Blocks = append(q.Blocks, blk.Dump())
+			ps := &f.planes[pi].pools[qi]
+			snap.Active = append(snap.Active, ps.active)
+			snap.FreeLen = append(snap.FreeLen, int32(len(ps.free)))
+			snap.Free = append(snap.Free, ps.free...)
+			for bi := range ps.blocks {
+				blk := &ps.blocks[bi]
+				snap.WritePtr = append(snap.WritePtr, int32(blk.NextFreeCount()))
+				snap.Erases = append(snap.Erases, int32(blk.EraseCount()))
+				snap.Retired = append(snap.Retired, blk.Retired())
+				snap.Live = blk.AppendWritten(snap.Live)
+				for page := 0; page < blk.NextFreeCount(); page++ {
+					if blk.PageLive(page) > 0 {
+						loc := Loc{Plane: int32(pi), Pool: int32(qi), Block: int32(bi), Page: int32(page)}
+						snap.LPNs = append(snap.LPNs, f.rev[loc.pack()]...)
+					}
+				}
 			}
-			ps.Pools = append(ps.Pools, q)
 		}
-		snap.Planes = append(snap.Planes, ps)
 	}
 	return snap
 }
@@ -150,63 +107,179 @@ func RestoreSnapshot(r io.Reader) (*FTL, error) {
 	return RestoreFromData(&snap)
 }
 
-// RestoreFromData rebuilds an FTL from exported snapshot data.
+// restoreSize returns the device's plane and block totals, refusing a
+// device beyond the restore limits. Config.Validate has bounded each
+// factor; the sums are checked against their limits before they are
+// formed, so nothing overflows.
+func restoreSize(cfg Config) (planes, blocks int, err error) {
+	planes = cfg.Geometry.Planes()
+	pages := 0
+	for _, p := range cfg.Pools {
+		n := planes * p.BlocksPerPlane
+		if n > maxRestoreBlocks-blocks {
+			return 0, 0, fmt.Errorf("ftl: snapshot device exceeds %d blocks", maxRestoreBlocks)
+		}
+		if p.PagesPerBlock > (maxRestorePages-pages)/n {
+			return 0, 0, fmt.Errorf("ftl: snapshot device exceeds %d pages", maxRestorePages)
+		}
+		blocks += n
+		pages += n * p.PagesPerBlock
+	}
+	return planes, blocks, nil
+}
+
+// RestoreFromData rebuilds an FTL from exported snapshot data, which it
+// validates in full first: a corrupt snapshot is an error, never a panic
+// later. The FTL takes ownership of snap's slices.
 func RestoreFromData(snap *SnapshotData) (*FTL, error) {
-	if err := snap.Config.Validate(); err != nil {
+	cfg := snap.Config
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ftl: snapshot config: %w", err)
 	}
-	if len(snap.Planes) != snap.Config.Geometry.Planes() {
-		return nil, fmt.Errorf("ftl: snapshot has %d planes for a %d-plane geometry",
-			len(snap.Planes), snap.Config.Geometry.Planes())
+	planes, blocks, err := restoreSize(cfg)
+	if err != nil {
+		return nil, err
+	}
+	planePools := planes * len(cfg.Pools)
+	switch {
+	case len(snap.WritePtr) != blocks || len(snap.Erases) != blocks || len(snap.Retired) != blocks:
+		return nil, fmt.Errorf("ftl: snapshot has %d/%d/%d block entries for %d blocks",
+			len(snap.WritePtr), len(snap.Erases), len(snap.Retired), blocks)
+	case len(snap.Active) != planePools || len(snap.FreeLen) != planePools:
+		return nil, fmt.Errorf("ftl: snapshot has %d/%d plane-pool entries for %d plane-pools",
+			len(snap.Active), len(snap.FreeLen), planePools)
+	case len(snap.PoolErases) != len(cfg.Pools):
+		return nil, fmt.Errorf("ftl: snapshot has %d pool erase counters for %d pools",
+			len(snap.PoolErases), len(cfg.Pools))
+	}
+
+	livePages := 0 // sizes the reverse map; validated below
+	for _, c := range snap.Live {
+		if c != 0 {
+			livePages++
+		}
 	}
 	f := &FTL{
-		cfg:        snap.Config,
-		planes:     make([]planeState, len(snap.Planes)),
-		fwd:        snap.Fwd,
-		rev:        snap.Rev,
+		cfg:        cfg,
+		planes:     make([]planeState, planes),
+		fwd:        make(map[int64]Loc, len(snap.LPNs)),
+		rev:        make(map[uint64][]int64, livePages),
 		stats:      snap.Stats,
 		poolErases: snap.PoolErases,
 	}
-	if f.fwd == nil {
-		f.fwd = make(map[int64]Loc)
-	}
-	if f.rev == nil {
-		f.rev = make(map[uint64][]int64)
-	}
-	if len(f.poolErases) != len(snap.Config.Pools) {
-		f.poolErases = make([]int64, len(snap.Config.Pools))
-	}
-	for pi, ps := range snap.Planes {
-		if len(ps.Pools) != len(snap.Config.Pools) {
-			return nil, fmt.Errorf("ftl: snapshot plane %d has %d pools, config %d",
-				pi, len(ps.Pools), len(snap.Config.Pools))
-		}
-		pools := make([]poolState, len(ps.Pools))
-		for qi, q := range ps.Pools {
-			spec := snap.Config.Pools[qi]
-			if len(q.Blocks) != spec.BlocksPerPlane {
-				return nil, fmt.Errorf("ftl: snapshot pool %d/%d has %d blocks, spec %d",
-					pi, qi, len(q.Blocks), spec.BlocksPerPlane)
+	var bi, qi, live, lpn, free int // cursors into the flat slices
+	var onFree []bool               // scratch for checkPoolLists
+	for pi := range f.planes {
+		f.planes[pi].pools = make([]poolState, len(cfg.Pools))
+		for pool, spec := range cfg.Pools {
+			bad := func(format string, args ...any) error {
+				return fmt.Errorf("ftl: snapshot plane %d pool %d: "+format, append([]any{pi, pool}, args...)...)
 			}
-			pool := poolState{spec: spec, free: q.Free, active: q.Active}
-			for _, bs := range q.Blocks {
-				if len(bs.Live) != spec.PagesPerBlock {
-					return nil, fmt.Errorf("ftl: snapshot block page count mismatch")
-				}
-				blk := flash.RestoreBlock(bs)
-				// The per-pool retired counter is derived state; recompute it
-				// from the block flags so pre-fault snapshots restore cleanly.
-				if blk.Retired() {
-					pool.retired++
-				}
-				pool.blocks = append(pool.blocks, blk)
+			ps := &f.planes[pi].pools[pool]
+			ps.spec = spec
+			ps.blocks = flash.NewBlocks(spec.BlocksPerPlane, spec.PagesPerBlock)
+			ps.active = snap.Active[qi]
+			if ps.active < -1 || ps.active >= int32(spec.BlocksPerPlane) {
+				return nil, bad("active block %d out of range", ps.active)
 			}
-			pools[qi] = pool
+			n := int(snap.FreeLen[qi])
+			if n < 0 || n > spec.BlocksPerPlane || n > len(snap.Free)-free {
+				return nil, bad("free list length %d out of range", n)
+			}
+			ps.free = snap.Free[free : free+n : free+n]
+			free += n
+			qi++
+
+			spp := spec.SectorsPerPage()
+			for b := range ps.blocks {
+				wp, erases, retired := int(snap.WritePtr[bi]), snap.Erases[bi], snap.Retired[bi]
+				bi++
+				if wp < 0 || wp > spec.PagesPerBlock {
+					return nil, bad("block %d: write pointer %d outside [0, %d]", b, wp, spec.PagesPerBlock)
+				}
+				if erases < 0 {
+					return nil, bad("block %d: negative erase count %d", b, erases)
+				}
+				if wp > len(snap.Live)-live {
+					return nil, bad("block %d: page states truncated", b)
+				}
+				pagesLive := snap.Live[live : live+wp]
+				live += wp
+				for page, c := range pagesLive {
+					if int(c) > spp {
+						return nil, bad("block %d page %d: %d live sectors on a %d-sector page", b, page, c, spp)
+					}
+					if c == 0 {
+						continue
+					}
+					if retired {
+						return nil, bad("retired block %d holds live sectors", b)
+					}
+					if int(c) > len(snap.LPNs)-lpn {
+						return nil, bad("block %d page %d: reverse map truncated", b, page)
+					}
+					loc := Loc{Plane: int32(pi), Pool: int32(pool), Block: int32(b), Page: int32(page)}
+					lpns := snap.LPNs[lpn : lpn+int(c) : lpn+int(c)]
+					lpn += int(c)
+					for _, l := range lpns {
+						mapped := len(f.fwd)
+						if f.fwd[l] = loc; len(f.fwd) == mapped {
+							return nil, fmt.Errorf("ftl: snapshot maps lpn %d twice", l)
+						}
+					}
+					f.rev[loc.pack()] = lpns
+				}
+				ps.blocks[b].Load(pagesLive, int(erases), retired)
+				if retired {
+					ps.retired++
+				}
+			}
+			if len(onFree) < len(ps.blocks) {
+				onFree = make([]bool, len(ps.blocks))
+			}
+			if err := checkPoolLists(ps, onFree[:len(ps.blocks)]); err != nil {
+				return nil, bad("%w", err)
+			}
 		}
-		f.planes[pi].pools = pools
 	}
-	if err := f.CheckConsistency(); err != nil {
-		return nil, fmt.Errorf("ftl: snapshot inconsistent: %w", err)
+	switch {
+	case live != len(snap.Live):
+		return nil, fmt.Errorf("ftl: snapshot has %d page states for %d programmed pages", len(snap.Live), live)
+	case lpn != len(snap.LPNs):
+		return nil, fmt.Errorf("ftl: snapshot has %d reverse-map entries for %d live sectors", len(snap.LPNs), lpn)
+	case free != len(snap.Free):
+		return nil, fmt.Errorf("ftl: snapshot has %d free-list entries, lengths sum to %d", len(snap.Free), free)
 	}
+	// The loop builds the forward and reverse maps as exact inverses that
+	// agree with every page's live count, and derives the retired counters;
+	// the rest of CheckConsistency's invariants, on retired blocks, are
+	// checked above.
 	return f, nil
+}
+
+// checkPoolLists verifies a restored plane-pool's free list and active
+// block: every free entry names a distinct erased block in service other
+// than the active one, and the active block is in service. onFree is
+// scratch, one entry per block.
+func checkPoolLists(ps *poolState, onFree []bool) error {
+	clear(onFree)
+	if ps.active >= 0 && ps.blocks[ps.active].Retired() {
+		return fmt.Errorf("retired block %d is the active block", ps.active)
+	}
+	for _, b := range ps.free {
+		switch {
+		case b < 0 || int(b) >= len(ps.blocks):
+			return fmt.Errorf("free block %d out of range", b)
+		case onFree[b]:
+			return fmt.Errorf("block %d is on the free list twice", b)
+		case b == ps.active:
+			return fmt.Errorf("active block %d is on the free list", b)
+		case ps.blocks[b].Retired():
+			return fmt.Errorf("retired block %d is on the free list", b)
+		case ps.blocks[b].NextFreeCount() != 0:
+			return fmt.Errorf("free block %d has %d programmed pages", b, ps.blocks[b].NextFreeCount())
+		}
+		onFree[b] = true
+	}
+	return nil
 }

@@ -40,6 +40,20 @@ func New(seed uint64) *Rand {
 	return r
 }
 
+// State returns the generator's internal state, for archiving.
+func (r *Rand) State() [4]uint64 { return r.s }
+
+// SetState resumes the generator from a state returned by State. The
+// all-zero state is a fixed point no seeded generator reaches, so it is
+// refused.
+func (r *Rand) SetState(s [4]uint64) bool {
+	if s == ([4]uint64{}) {
+		return false
+	}
+	r.s = s
+	return true
+}
+
 // Fork derives an independent generator from this one. The derived stream
 // does not overlap the parent stream for any practical sequence length.
 func (r *Rand) Fork() *Rand {

@@ -314,3 +314,18 @@ func (r *Resource) State() (freeAt, busy Time) { return r.freeAt, r.busy }
 
 // SetState restores bookkeeping captured by State.
 func (r *Resource) SetState(freeAt, busy Time) { r.freeAt = freeAt; r.busy = busy }
+
+// MaxRestoredTime bounds the clock values a device snapshot may carry. It
+// leaves 2^62 ns of int64 headroom, so the reservations a restored device
+// makes afterwards cannot overflow.
+const MaxRestoredTime Time = 1 << 62
+
+// ValidRestoredTimes reports whether every t lies in [0, MaxRestoredTime].
+func ValidRestoredTimes(ts []Time) bool {
+	for _, t := range ts {
+		if t < 0 || t > MaxRestoredTime {
+			return false
+		}
+	}
+	return true
+}

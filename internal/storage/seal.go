@@ -19,7 +19,7 @@ import (
 // Layout (all integers big-endian):
 //
 //	offset 0   8 bytes  magic "EMSEAL1\n"
-//	offset 8   1 byte   envelope version (1)
+//	offset 8   1 byte   payload layout version (2)
 //	offset 9   1 byte   backend name length n
 //	offset 10  n bytes  backend name ("emmc", "sd", "ufs")
 //	10+n       8 bytes  payload length
@@ -30,11 +30,14 @@ import (
 // device state seals to identical bytes, so a content-addressed store
 // dedups forks of the same aged device for free.
 
-// sealMagic opens every sealed snapshot; sealVersion is the envelope
-// layout revision.
+// sealMagic opens every sealed snapshot; sealVersion is the revision of
+// the envelope and the payload layouts it wraps. Version 2 stores only the
+// written state of the flash; version 1 stored every page of every block.
+// No decoder for version 1 is kept: a device sealed by an older build is
+// re-aged, which rebuilds the same state.
 var sealMagic = [8]byte{'E', 'M', 'S', 'E', 'A', 'L', '1', '\n'}
 
-const sealVersion = 1
+const sealVersion = 2
 
 // sealDigestLen is the trailing SHA-256 length.
 const sealDigestLen = sha256.Size
@@ -114,6 +117,9 @@ func ReadSeal(r io.Reader, id string) (SealInfo, []byte, error) {
 	}
 	if !bytes.Equal(head[:8], sealMagic[:]) {
 		return SealInfo{}, nil, fmt.Errorf("storage: %s: not a sealed snapshot (bad magic at byte 0)", id)
+	}
+	if head[8] == 1 {
+		return SealInfo{}, nil, fmt.Errorf("storage: %s: sealed snapshot version 1 is no longer readable (this build reads version %d); re-age the device to archive it again", id, sealVersion)
 	}
 	if head[8] != sealVersion {
 		return SealInfo{}, nil, fmt.Errorf("storage: %s: sealed snapshot version %d (want %d)", id, head[8], sealVersion)

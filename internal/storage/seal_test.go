@@ -145,6 +145,25 @@ func TestSealDiagnostics(t *testing.T) {
 		}
 	})
 
+	t.Run("version-1", func(t *testing.T) {
+		// A version-1 envelope, as builds before the written-pages payload
+		// layout sealed it: same magic and framing, version byte 1.
+		old := append([]byte(nil), sealed...)
+		old[8] = 1
+		_, _, err := storage.ReadSeal(bytes.NewReader(old), "d12345")
+		if err == nil {
+			t.Fatal("version-1 snapshot accepted")
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("version-1 error %q is not one line", err)
+		}
+		for _, want := range []string{"d12345", "version 1", "re-age"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version-1 error %q does not mention %q", err, want)
+			}
+		}
+	})
+
 	t.Run("unknown-backend", func(t *testing.T) {
 		sealedBad, _, err := storage.SealPayload("emmc", []byte("payload"))
 		if err != nil {

@@ -4,18 +4,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"reflect"
 
 	"emmcio/internal/faults"
 	"emmcio/internal/ftl"
 	"emmcio/internal/sim"
 	"emmcio/internal/storage"
 )
-
-// BoosterChunk is the gob form of one pending booster migration.
-type BoosterChunk struct {
-	Pool int
-	LPNs []int64
-}
 
 // deviceSnapshot is the gob layout of a device's dynamic state. Unlike the
 // eMMC model's RAM buffer (a cache that restarts cold), the booster holds
@@ -34,12 +29,18 @@ type deviceSnapshot struct {
 	PlaneFree   []int64
 	PlaneBusy   []int64
 	// Booster state: the pending-migration queue in order, plus hit
-	// accounting. The dirty-sector index is rebuilt from the queue.
-	BoosterQueue  []BoosterChunk
+	// accounting. Chunk i migrates BoosterLens[i] consecutive LPNs of
+	// BoosterLPNs to pool BoosterPools[i]. The dirty-sector index is
+	// rebuilt from the queue.
+	BoosterPools  []byte
+	BoosterLens   []byte
+	BoosterLPNs   []int64
 	BoosterHits   int64
 	BoosterMisses int64
-	// FaultDraws archives the injector's decision-stream position so a
-	// restored device resumes the exact fault sequence (Skip fast-forward).
+	// FaultState archives the injector's generator state so a restored
+	// device resumes the exact fault sequence; FaultDraws is its position
+	// in the decision stream, kept for reporting.
+	FaultState [4]uint64
 	FaultDraws int64
 }
 
@@ -54,14 +55,16 @@ func (d *Device) Snapshot(w io.Writer) error {
 		LastEnd:    d.lastEnd,
 		RRPlane:    d.rrPlane,
 		Metrics:    d.metrics,
+		FaultState: d.inj.State(),
 		FaultDraws: d.inj.Draws(),
 	}
 	if d.booster != nil {
 		snap.BoosterHits = d.booster.hits
 		snap.BoosterMisses = d.booster.misses
 		for _, c := range d.booster.pendingChunks() {
-			snap.BoosterQueue = append(snap.BoosterQueue,
-				BoosterChunk{Pool: c.pool, LPNs: append([]int64(nil), c.lpns...)})
+			snap.BoosterPools = append(snap.BoosterPools, byte(c.pool))
+			snap.BoosterLens = append(snap.BoosterLens, byte(len(c.lpns)))
+			snap.BoosterLPNs = append(snap.BoosterLPNs, c.lpns...)
 		}
 	}
 	for i := range d.channels {
@@ -98,15 +101,17 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 	if snap.FTL == nil {
 		return nil, fmt.Errorf("ufs: snapshot missing FTL state")
 	}
+	if !reflect.DeepEqual(snap.FTL.Config, snap.Config.ftlConfig()) {
+		return nil, fmt.Errorf("ufs: snapshot FTL configuration disagrees with the device configuration")
+	}
 	f, err := ftl.RestoreFromData(snap.FTL)
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(snap.Config.Faults)
+	inj, err := faults.Resume(snap.Config.Faults, snap.FaultState, snap.FaultDraws)
 	if err != nil {
 		return nil, err
 	}
-	inj.Skip(snap.FaultDraws)
 	f.SetFaults(inj)
 	d := &Device{
 		cfg:      snap.Config,
@@ -124,8 +129,17 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 		return nil, fmt.Errorf("ufs: snapshot slot count mismatch")
 	}
 	copy(d.slots, snap.Slots)
-	if len(snap.ChannelFree) != len(d.channels) || len(snap.PlaneFree) != len(d.planes) {
+	if len(snap.ChannelFree) != len(d.channels) || len(snap.ChannelBusy) != len(d.channels) ||
+		len(snap.PlaneFree) != len(d.planes) || len(snap.PlaneBusy) != len(d.planes) {
 		return nil, fmt.Errorf("ufs: snapshot resource counts mismatch")
+	}
+	if snap.RRPlane < 0 {
+		return nil, fmt.Errorf("ufs: snapshot plane cursor %d is negative", snap.RRPlane)
+	}
+	for _, ts := range [][]int64{{snap.LastEnd}, snap.Slots, snap.ChannelFree, snap.ChannelBusy, snap.PlaneFree, snap.PlaneBusy} {
+		if !sim.ValidRestoredTimes(ts) {
+			return nil, fmt.Errorf("ufs: snapshot clock value outside [0, %d]", sim.MaxRestoredTime)
+		}
 	}
 	for i := range d.channels {
 		d.channels[i].SetState(snap.ChannelFree[i], snap.ChannelBusy[i])
@@ -133,14 +147,26 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 	for i := range d.planes {
 		d.planes[i].SetState(snap.PlaneFree[i], snap.PlaneBusy[i])
 	}
-	if len(snap.BoosterQueue) > 0 && d.booster == nil {
+	if len(snap.BoosterPools) != len(snap.BoosterLens) {
+		return nil, fmt.Errorf("ufs: snapshot has %d booster chunk pools for %d lengths", len(snap.BoosterPools), len(snap.BoosterLens))
+	}
+	if (len(snap.BoosterLens) > 0 || len(snap.BoosterLPNs) > 0) && d.booster == nil {
 		return nil, fmt.Errorf("ufs: snapshot has booster content but no booster capacity")
 	}
 	if d.booster != nil {
 		d.booster.hits = snap.BoosterHits
 		d.booster.misses = snap.BoosterMisses
-		for _, c := range snap.BoosterQueue {
-			d.booster.add(c.Pool, c.LPNs)
+		lpns := snap.BoosterLPNs
+		for i, n := range snap.BoosterLens {
+			pool := int(snap.BoosterPools[i])
+			if pool >= len(d.cfg.Pools) || n == 0 || int(n) > d.cfg.Pools[pool].SectorsPerPage() || int(n) > len(lpns) {
+				return nil, fmt.Errorf("ufs: snapshot booster chunk %d holds %d sectors for pool %d", i, n, pool)
+			}
+			d.booster.add(pool, lpns[:n])
+			lpns = lpns[n:]
+		}
+		if len(lpns) != 0 {
+			return nil, fmt.Errorf("ufs: snapshot has %d booster sectors past the last chunk", len(lpns))
 		}
 	}
 	return d, nil

@@ -67,6 +67,21 @@ type Config struct {
 // slots returns the total command-slot count.
 func (c Config) slots() int { return c.Queues * c.QueueDepth }
 
+// ftlConfig is the translation-layer configuration the device runs.
+func (c Config) ftlConfig() ftl.Config {
+	return ftl.Config{
+		Geometry:     c.Geometry,
+		Pools:        c.Pools,
+		GCFreeBlocks: c.GCFreeBlocks,
+		Wear:         c.Wear,
+	}
+}
+
+// maxSlots bounds queues × queue depth: the slot table is sized from the
+// configuration, so the bound keeps a decoded snapshot from sizing it past
+// any real part (UFS 4.0 MCQ tops out at 32 queues of 256 entries).
+const maxSlots = 1 << 16
+
 // Validate reports unusable configurations.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
@@ -94,6 +109,9 @@ func (c Config) Validate() error {
 	}
 	if c.Queues < 1 || c.QueueDepth < 1 {
 		return fmt.Errorf("ufs: need at least one queue and one slot, got %dx%d", c.Queues, c.QueueDepth)
+	}
+	if c.Queues > maxSlots || c.QueueDepth > maxSlots/c.Queues {
+		return fmt.Errorf("ufs: %dx%d command slots exceed %d", c.Queues, c.QueueDepth, maxSlots)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -142,12 +160,7 @@ func New(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f, err := ftl.New(ftl.Config{
-		Geometry:     cfg.Geometry,
-		Pools:        cfg.Pools,
-		GCFreeBlocks: cfg.GCFreeBlocks,
-		Wear:         cfg.Wear,
-	})
+	f, err := ftl.New(cfg.ftlConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -193,6 +206,11 @@ func (d *Device) Metrics() storage.Metrics { return d.metrics }
 
 // FTLStats exposes the translation layer's accounting.
 func (d *Device) FTLStats() ftl.Stats { return d.ftl.Stats() }
+
+// CheckConsistency verifies the translation layer's invariants: mapping
+// and reverse map agree with every page's live count, and retired blocks
+// are empty and out of service. It returns the first violation found.
+func (d *Device) CheckConsistency() error { return d.ftl.CheckConsistency() }
 
 // Wear exposes the erase distribution of pool index pool.
 func (d *Device) Wear(pool int) ftl.WearSummary { return d.ftl.Wear(pool) }

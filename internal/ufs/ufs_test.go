@@ -263,3 +263,15 @@ func TestCaps(t *testing.T) {
 		t.Fatalf("caps = %+v", caps)
 	}
 }
+
+// The slot table is sized from the configuration: queue counts whose
+// product would exhaust memory, or overflow, are refused at construction.
+func TestSlotCountBounded(t *testing.T) {
+	for _, qd := range [][2]int{{1 << 20, 1 << 20}, {1 << 32, 1 << 32}, {1, 1<<16 + 1}} {
+		cfg := testConfig()
+		cfg.Queues, cfg.QueueDepth = qd[0], qd[1]
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%dx%d command slots accepted", qd[0], qd[1])
+		}
+	}
+}
